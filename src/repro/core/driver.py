@@ -654,7 +654,8 @@ class WavnetDriver(Component):
                     self._m_repair_attempts.add()
                     try:
                         yield from self.connect_by_name(
-                            peer_name, allow_relay=peer_name in self._relay_peers)
+                            peer_name, options=ConnectOptions(
+                                allow_relay=peer_name in self._relay_peers))
                     except (RpcTimeout, RpcError, TimeoutError):
                         # The punch may have failed because our own NAT
                         # mapping moved (reboot, expiry): peers were

@@ -15,8 +15,9 @@ keepalives, rendezvous RPC) and any flow opened with
 ``fidelity="packet"`` stay on the packet path. Fluid and packet traffic
 coexist on shared links by the capacity-sharing rule: the fluid-visible
 capacity of a link is its configured bandwidth minus the packet path's
-*measured* utilization (sampled from ``_Pipe.bytes_sent`` at every
-re-solve and on a periodic refresh tick while flows are active).
+*measured* utilization (sampled from ``_Pipe.bytes_sent`` whenever a
+solve covers the link's component, and on every link at a periodic
+refresh tick while flows are active).
 
 Model elements
 --------------
@@ -40,8 +41,13 @@ Model elements
   each RTT until it clears the window cap), which is what makes short
   and mid-size transfers agree with the packet plane, not just t→∞.
 * :class:`FluidNetwork` — per-simulator registry + solver. Re-solves are
-  dirty-flagged and batched per timestamp, so 10^4 flow arrivals at one
-  instant cost one waterfill pass.
+  **component-local**: a flow arrival, departure, ramp step or early
+  completion-timer fire marks that flow's links dirty; a link, cloud or
+  conduit change, a refresh tick or a direct :meth:`FluidNetwork.solve_now`
+  call marks every link dirty. One solve per timestamp then re-waterfills
+  only the flows reachable from the dirty links through shared links
+  (max-min shares never cross a component boundary), in open order, so
+  10^4 flow arrivals at one instant still cost one waterfill pass.
 
 Faults: ``link_flap``/``admin_down`` zero the link's capacity,
 ``loss_burst`` engages the Mathis cap, and WAN partitions stall every
@@ -55,6 +61,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional
 
 from repro.net.cc import (INITIAL_CWND_SEGMENTS, cc_class, mathis_rate_bps,
@@ -65,6 +72,7 @@ __all__ = ["FluidAborted", "FluidFlow", "FluidLink", "FluidNetwork",
            "FluidPath"]
 
 _EPS = 1e-9
+_SEQ = attrgetter("_seq")   # flow open order: the solver's iteration order
 
 
 class FluidAborted(Exception):
@@ -81,7 +89,7 @@ class FluidLink:
     used by solver unit tests and by non-wire resources (CPU)."""
 
     __slots__ = ("name", "kind", "capacity_bps", "pipe", "up", "loss",
-                 "_pkt_bytes", "_pkt_at", "pkt_util_bps")
+                 "_pkt_bytes", "_pkt_at", "pkt_util_bps", "users")
 
     def __init__(self, name: str, capacity_bps: Optional[float] = None,
                  pipe=None, kind: str = "wire") -> None:
@@ -94,6 +102,7 @@ class FluidLink:
         self._pkt_bytes = 0 if pipe is None else pipe.bytes_sent
         self._pkt_at = 0.0
         self.pkt_util_bps = 0.0
+        self.users: dict = {}   # open flows riding this link, in open order
 
     def capacity(self) -> float:
         """Raw capacity in resource units/s (bits/s for wire links)."""
@@ -180,7 +189,7 @@ class FluidFlow:
                  "window_bps", "mss", "state", "done", "opened_at",
                  "deliver_offset", "cc", "_rate_cap", "_last_t", "_cap_ramp",
                  "_ramp_timer", "_done_timer", "_done_eta", "_stall_timer",
-                 "_new_rate")
+                 "_new_rate", "_seq")
 
     def __init__(self, net: "FluidNetwork", name: str, path: FluidPath,
                  size_bytes: Optional[int], window_bps: float,
@@ -211,6 +220,7 @@ class FluidFlow:
         self._done_eta = math.inf
         self._stall_timer = None
         self._new_rate = 0.0
+        self._seq = net._flow_seq
         # Slow start: the initial window goes out as one burst (delivered
         # "instantly" on the fluid clock; propagation is deliver_offset),
         # then the rate cap doubles each RTT starting from 2*IW/RTT.
@@ -237,7 +247,7 @@ class FluidFlow:
             self._ramp_timer = None
         else:
             self._ramp_timer = self.net.sim.timer(self.path.rtt, self._ramp_step)
-        self.net._schedule_solve()
+        self.net._schedule_solve(self)
 
     # -- progress -------------------------------------------------------
     def progress(self) -> float:
@@ -298,13 +308,15 @@ class FluidNetwork:
         self.refresh_interval = refresh_interval
         self.util_floor = util_floor
         self.stall_timeout = stall_timeout
-        self.flows: list[FluidFlow] = []      # active + stalled
+        self.flows: dict[FluidFlow, None] = {}   # active + stalled, open order
         self._links: dict[int, FluidLink] = {}   # id(pipe) -> FluidLink
         self._routes: dict[tuple, FluidPath] = {}
         self._conduits: dict[tuple, bool] = {}
         self._watched_links: set[int] = set()
         self._watched_clouds: set[int] = set()
         self._solve_scheduled = False
+        self._dirty: Optional[dict] = {}   # links to re-solve; None = all
+        self._batched = False              # solve_now runs the queued solve
         self._refresh_timer = None
         self._flow_seq = 0
         m = sim.metrics.scope("fluid")
@@ -414,11 +426,11 @@ class FluidNetwork:
                     "groups or run the transfer at packet fidelity")
         if name is None:
             name = f"flow{self._flow_seq}"
-        self._flow_seq += 1
         window = window_rate_bps(send_buf, recv_buf, path.rtt)
         offset = path.rtt / 2.0 if deliver_offset is None else deliver_offset
         flow = FluidFlow(self, name, path, size_bytes, window, ramp, offset,
                          cc=cc)
+        self._flow_seq += 1
         self._m_opened.add()
         self.sim.trace.event("fluid.open", flow=name,
                              size=size_bytes if size_bytes is not None else -1)
@@ -426,9 +438,11 @@ class FluidNetwork:
             # Fits in the initial window: delivered in one burst.
             self._complete_now(flow)
             return flow
-        self.flows.append(flow)
+        self.flows[flow] = None
+        for link, _factor in path.links:
+            link.users[flow] = None
         self._m_active.set(len(self.flows))
-        self._schedule_solve()
+        self._schedule_solve(flow)
         if self._refresh_timer is None and self.refresh_interval:
             self._refresh_timer = self.sim.timer(self.refresh_interval,
                                                  self._refresh_tick)
@@ -438,7 +452,9 @@ class FluidNetwork:
         flow._settle(self.sim.now)
         flow._cancel_timers()
         if flow in self.flows:
-            self.flows.remove(flow)
+            del self.flows[flow]
+            for link, _factor in flow.path.links:
+                link.users.pop(flow, None)
         self._m_active.set(len(self.flows))
         self._m_bytes.add(flow.delivered)
         if aborted:
@@ -459,9 +475,10 @@ class FluidNetwork:
                 self.sim.call_in(flow.deliver_offset, _DoneSucceed(flow))
             else:
                 flow.done.succeed(flow)
-        self._schedule_solve()
+        self._schedule_solve(flow)
 
     def _complete_now(self, flow: FluidFlow) -> None:
+        flow._cancel_timers()
         flow.state = "done"
         self._m_completed.add()
         self._m_bytes.add(flow.delivered)
@@ -481,15 +498,22 @@ class FluidNetwork:
     def _on_cloud_change(self, _cloud) -> None:
         self._schedule_solve()
 
-    def _schedule_solve(self) -> None:
-        """Dirty-flag + one fast-lane event: any number of triggers at
-        the same timestamp collapse into a single waterfill pass."""
+    def _schedule_solve(self, flow: Optional[FluidFlow] = None) -> None:
+        """Mark ``flow``'s links dirty (every link when ``flow`` is None)
+        and queue one fast-lane event: any number of triggers at the same
+        timestamp collapse into a single waterfill pass."""
+        if flow is None:
+            self._dirty = None
+        elif self._dirty is not None:
+            for link, _factor in flow.path.links:
+                self._dirty[link] = None
         if not self._solve_scheduled:
             self._solve_scheduled = True
             self.sim.call_in(0.0, self._solve_cb)
 
     def _solve_cb(self) -> None:
         if self._solve_scheduled:
+            self._batched = True
             self.solve_now()
 
     def _refresh_tick(self) -> None:
@@ -505,19 +529,47 @@ class FluidNetwork:
     # ------------------------------------------------------------------
     # The solver
     # ------------------------------------------------------------------
+    def _take_closure(self) -> tuple[list, dict]:
+        """Consume the dirty set: every flow reachable from a dirty link
+        through shared links (in open order), plus the links they and
+        the dirty set touch. A dirty set of None means every link."""
+        links = self._dirty
+        self._dirty = {}
+        if links is None:
+            links = dict.fromkeys(self._links.values())
+            for flow in self.flows:
+                for link, _factor in flow.path.links:
+                    links[link] = None
+        flows: dict[FluidFlow, None] = {}
+        stack = list(links)
+        while stack:
+            for flow in stack.pop().users:
+                if flow not in flows:
+                    flows[flow] = None
+                    for link, _factor in flow.path.links:
+                        if link not in links:
+                            links[link] = None
+                            stack.append(link)
+        return sorted(flows, key=_SEQ), links
+
     def solve_now(self) -> None:
         """Settle progress, re-check path health, waterfill, re-arm
-        completion timers. Deterministic: iteration order is flow/link
-        registration order everywhere."""
-        self._solve_scheduled = False
+        completion timers — for the flows sharing a link, directly or
+        transitively, with a dirty link. Called directly (not as the
+        queued solve), it marks every link dirty first. Deterministic:
+        flows go in open order."""
+        if not self._batched:
+            self._dirty = None
+        self._batched = self._solve_scheduled = False
         now = self.sim.now
         self._m_solves.add()
-        for flow in self.flows:
+        flows, links = self._take_closure()
+        for flow in flows:
             flow._settle(now)
 
         # Stall / resume on path health.
         active: list[FluidFlow] = []
-        for flow in self.flows:
+        for flow in flows:
             why = flow.path.blocked(self)
             if why is not None:
                 if flow.state == "active":
@@ -543,7 +595,7 @@ class FluidNetwork:
                 active.append(flow)
 
         if active:
-            for link in self._links.values():
+            for link in links:
                 link.sample_packet_util(now)
             self._waterfill(active)
 
@@ -579,7 +631,7 @@ class FluidNetwork:
             self._finish(flow, aborted=False)
         else:
             # Rate dropped since this timer was armed; re-estimate.
-            self._schedule_solve()
+            self._schedule_solve(flow)
 
     def _waterfill(self, active: list[FluidFlow]) -> None:
         """Progressive filling: raise every unfrozen flow's goodput rate

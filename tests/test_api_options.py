@@ -98,3 +98,23 @@ def test_driver_connect_options_bundle():
         conn = sim.run_coro(driver.connect_by_name(
             "b", options=ConnectOptions(allow_relay=False)))
     assert conn.usable and not conn.relayed
+
+
+def test_repair_loop_emits_no_deprecation_warning():
+    """Self-healing repairs connect through the options bundle: a churn
+    run that repairs tunnels raises no DeprecationWarning from repro's
+    own modules."""
+    import os
+
+    import repro
+    from repro.scenarios.churn import churn_recovery
+
+    package = os.path.dirname(repro.__file__) + os.sep
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _sim, payload = churn_recovery(seed=0)
+    assert payload["repairs"] > 0
+    ours = [str(w.message) for w in caught
+            if issubclass(w.category, DeprecationWarning)
+            and w.filename.startswith(package)]
+    assert ours == []

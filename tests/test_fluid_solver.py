@@ -2,7 +2,9 @@
 
 These tests drive :class:`FluidNetwork.solve_now` directly over
 standalone (pipe-less) FluidLinks with ramping disabled, so every
-allocation is a pure waterfill answer that can be checked by hand.
+allocation is a pure waterfill answer that can be checked by hand. The
+differential test at the end checks the component-local queued solve
+against a full ``solve_now()`` on random multi-component graphs.
 """
 
 import math
@@ -222,3 +224,154 @@ def test_property_with_hypothesis():
         _allocation_is_max_min(flows, links)
 
     run()
+
+
+def test_initial_window_flow_leaves_no_timer():
+    """A flow that fits in its initial window completes at open; its
+    slow-start ramp timer must not keep doubling and re-solving."""
+    sim = Simulator(seed=1)
+    net = FluidNetwork(sim)
+    link = FluidLink("l0", capacity_bps=1e9)
+    flow = net.open(path=FluidPath(links=((link, 1.0),), rtt=0.05),
+                    size_bytes=4000)
+    assert flow.state == "done"
+    assert flow._ramp_timer is None and flow._done_timer is None
+    sim.run()
+    assert flow.done.ok
+    assert sim.metrics.value("fluid.solves") <= 1
+    assert not link.users and not net.flows
+
+
+# ----------------------------------------------------------------------
+# Component-local re-solve vs a full solve
+# ----------------------------------------------------------------------
+class _SteadyPipe:
+    """Pipe stand-in carrying a constant-rate packet stream: bytes_sent
+    grows linearly with sim time, so every sampling window measures the
+    same packet utilization whichever solve takes the sample."""
+
+    def __init__(self, sim, bandwidth_bps, util_bps):
+        self.sim = sim
+        self.bandwidth_bps = bandwidth_bps
+        self.util_bps = util_bps
+        self.up = True
+        self.loss = 0.0
+
+    @property
+    def bytes_sent(self):
+        return self.util_bps * self.sim.now / 8.0
+
+
+class _SteadyLink:
+    """Two steady pipes with the ``Link`` watcher surface the fluid
+    plane subscribes to (``link_for`` / ``add_watcher``)."""
+
+    def __init__(self, sim, name, bandwidth_bps, util_bps):
+        self.name = name
+        self.ab = _SteadyPipe(sim, bandwidth_bps, util_bps)
+        self.ba = _SteadyPipe(sim, bandwidth_bps, util_bps)
+        self._watchers = []
+
+    def add_watcher(self, fn):
+        self._watchers.append(fn)
+
+    def change(self, **attrs):
+        for pipe in (self.ab, self.ba):
+            for key, value in attrs.items():
+                setattr(pipe, key, value)
+        for fn in self._watchers:
+            fn(self)
+
+
+def _random_groups(rng, sim, net):
+    """Disjoint link groups: unbound links (wire and CPU-style) plus
+    pipe-bound links carrying steady packet traffic."""
+    groups, steady = [], []
+    for g in range(rng.randint(2, 5)):
+        links = []
+        for i in range(rng.randint(1, 4)):
+            kind = rng.random()
+            if kind < 0.4:
+                bw = rng.uniform(5e6, 100e6)
+                l2 = _SteadyLink(sim, f"g{g}.p{i}", bw, bw * rng.uniform(0.0, 0.6))
+                steady.append(l2)
+                links.append((net.link_for(l2, rng.choice(("ab", "ba"))),
+                              rng.choice([1.0, 1.04, 1.074])))
+            elif kind < 0.5:
+                cpu = FluidLink(f"g{g}.cpu{i}", capacity_bps=1.0, kind="cpu")
+                links.append((cpu, rng.uniform(200e-6, 900e-6) / (1460 * 8)))
+            else:
+                cap = rng.choice([None, rng.uniform(1e6, 100e6)])
+                links.append((FluidLink(f"g{g}.l{i}", capacity_bps=cap),
+                              rng.choice([1.0, 1.2, 2.0])))
+        groups.append(links)
+    return groups, steady
+
+
+def test_component_local_matches_full_solve():
+    """Differential check: after every queued (component-local) solve,
+    each flow's rate equals what a fresh full ``solve_now()`` assigns,
+    across random multi-component graphs under opens, closes, link
+    changes and time advances (ramp steps, completions)."""
+    import random
+
+    rng = random.Random(20261017)
+    local_solves = 0
+    for trial in range(12):
+        sim = Simulator(seed=trial)
+        net = FluidNetwork(sim, refresh_interval=0.0)
+        groups, steady = _random_groups(rng, sim, net)
+        # Start past the first sampling window, so every solve measures
+        # the steady packet load and rates depend on the graph alone.
+        sim.run(until=1.0)
+        take = net._take_closure
+
+        def spy(_take=take, _net=net):
+            nonlocal local_solves
+            flows, links = _take()
+            local_solves += len(flows) < len(_net.flows)
+            return flows, links
+
+        net._take_closure = spy
+
+        def check():
+            rates = {flow: flow._new_rate if flow.state == "active" else 0.0
+                     for flow in net.flows}
+            net.solve_now()
+            for flow, rate in rates.items():
+                want = flow._new_rate if flow.state == "active" else 0.0
+                assert rate == pytest.approx(want, rel=1e-9, abs=1e-6), \
+                    (trial, flow.name)
+
+        for _step in range(60):
+            op = rng.random()
+            if op < 0.45 or not net.flows:
+                links = groups[rng.randrange(len(groups))]
+                chosen = rng.sample(links, rng.randint(1, len(links)))
+                buf = rng.choice([4096, 65536, 1 << 22])
+                net.open(path=FluidPath(links=tuple(chosen),
+                                        rtt=rng.choice([0.002, 0.01, 0.05])),
+                         size_bytes=rng.choice([None, 20_000, 400_000, 4_000_000]),
+                         ramp=rng.random() < 0.5, send_buf=buf, recv_buf=buf)
+            elif op < 0.6:
+                rng.choice(list(net.flows)).close()
+            elif op < 0.7 and steady:
+                link = rng.choice(steady)
+                change = rng.random()
+                if change < 0.4:
+                    link.change(bandwidth_bps=rng.uniform(5e6, 100e6))
+                elif change < 0.7:
+                    link.change(loss=rng.choice([0.0, 0.0, 1e-3]))
+                else:
+                    link.change(up=not link.ab.up)
+            else:
+                horizon = sim.now + rng.uniform(1e-3, 0.2)
+                while sim.peek() <= horizon:
+                    sim.step()
+                    if not net._solve_scheduled:
+                        check()
+                sim.run(until=horizon)
+            sim.run(until=sim.now)  # let the queued solve fire
+            check()
+    # The graphs really split: some queued solves covered a strict subset.
+    assert local_solves > 0
