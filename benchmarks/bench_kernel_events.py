@@ -5,7 +5,8 @@ patterns every WAVNet experiment leans on.
   timeouts and get interrupted away from them, leaving stale calendar
   entries (the pattern of CONNECT_PULSE rearms and punch-loop teardown).
 * ``frame_fanout`` — per-frame delivery: a learning switch floods frames
-  to N sinks over unshaped links, the ``call_in``/``_Delivery`` path.
+  to N sinks over unshaped links, one link-station hand-off per frame
+  and sink.
 * ``ttcp_transfer`` — a Fig-6-style bulk TCP transfer over a fast link:
   segments, ACKs, and retransmit-timer management end to end.
 

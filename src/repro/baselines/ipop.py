@@ -43,7 +43,7 @@ from repro.net.packet import (
     frame_for,
 )
 from repro.net.stack import Host, Interface
-from repro.sim.queues import Store
+from repro.sim.queues import FifoStation, StationJob
 
 __all__ = ["IpopConfig", "IpopDirectory", "IpopNode", "IpopOverlay"]
 
@@ -130,6 +130,20 @@ def ring_distance(a: float, b: float) -> float:
     return min(d, 1.0 - d)
 
 
+class _CpuWork(StationJob):
+    """A packet on IPOP's user-level CPU; ``handler(item)`` runs when its
+    processing ends."""
+
+    __slots__ = ("handler", "item")
+
+    def __init__(self, handler: Callable, item) -> None:
+        self.handler = handler
+        self.item = item
+
+    def __call__(self) -> None:
+        self.handler(self.item)
+
+
 class IpopNode:
     """One IPOP endpoint on a physical host."""
 
@@ -154,8 +168,10 @@ class IpopNode:
         # Local delivery: IP -> callable(IPv4Packet).
         self.local_ips: dict[IPv4Address, Callable[[IPv4Packet], None]] = {}
 
-        # Serialized user-level packet processing (the C# stack).
-        self._cpu: Store = Store(self.sim, capacity=self.config.cpu_queue_capacity)
+        # Serialized user-level packet processing (the C# stack): one
+        # FIFO server; the queue holds cpu_queue_capacity packets behind
+        # the one being processed.
+        self._cpu = FifoStation(self.sim, capacity=self.config.cpu_queue_capacity + 1)
         self._cpu_rng = self.sim.rng.stream(f"ipop.cpu.{self.name}")
         self.cpu_drops = 0
         self.packets_relayed = 0
@@ -175,7 +191,6 @@ class IpopNode:
         self._vm_macs: dict[IPv4Address, MacAddress] = {}
 
         self.sim.process(self._rx_loop(), name=f"ipop-rx:{self.name}")
-        self.sim.process(self._cpu_loop(), name=f"ipop-cpu:{self.name}")
 
     # ------------------------------------------------------------------
     # tun plumbing
@@ -195,7 +210,7 @@ class IpopNode:
     def _on_tun_frame(self, frame: EthernetFrame) -> None:
         if frame.ethertype != ETHERTYPE_IPV4:
             return
-        self._enqueue_cpu(("out", frame.payload))
+        self._enqueue_cpu("out", frame.payload)
 
     def _deliver_to_stack(self, packet: IPv4Packet) -> None:
         self.host.stack.deliver_local(packet)
@@ -248,31 +263,33 @@ class IpopNode:
             if deliver is not None:
                 deliver(packet)
             return
-        self._enqueue_cpu(("out", packet))
+        self._enqueue_cpu("out", packet)
 
     # ------------------------------------------------------------------
     # user-level packet processing
     # ------------------------------------------------------------------
-    def _enqueue_cpu(self, work) -> None:
-        if not self._cpu.try_put(work):
+    def _enqueue_cpu(self, kind: str, item) -> None:
+        """Queue ``item`` for the packet CPU: ``out`` (host packet to
+        route), ``relay`` (P2P packet to forward) or ``in`` (P2P packet
+        for this node). The service-time jitter is drawn on admission,
+        which is the order the single server takes packets in."""
+        cpu = self._cpu
+        now = self.sim.now
+        if not cpu.admits(now):
             self.cpu_drops += 1
-
-    def _cpu_loop(self):
-        sim = self.sim
+            return
         jitter = self.config.cpu_jitter_mean
-        while True:
-            kind, item = yield self._cpu.get()
-            extra = float(self._cpu_rng.exponential(jitter)) if jitter > 0 else 0.0
-            if kind == "out":
-                frags = self._fragments_of(item)
-                yield sim.timeout(frags * self.config.endpoint_cost + extra)
-                self._route_out(item)
-            elif kind == "relay":
-                yield sim.timeout(item.fragments * self.config.relay_cost + extra)
-                self._forward(item)
-            elif kind == "in":
-                yield sim.timeout(item.fragments * self.config.endpoint_cost + extra)
-                self._deliver(item)
+        extra = float(self._cpu_rng.exponential(jitter)) if jitter > 0 else 0.0
+        if kind == "out":
+            service = self._fragments_of(item) * self.config.endpoint_cost + extra
+            handler = self._route_out
+        elif kind == "relay":
+            service = item.fragments * self.config.relay_cost + extra
+            handler = self._forward
+        else:
+            service = item.fragments * self.config.endpoint_cost + extra
+            handler = self._deliver
+        cpu.serve(_CpuWork(handler, item), now, service)
 
     # ------------------------------------------------------------------
     # routing
@@ -371,10 +388,10 @@ class IpopNode:
             body = payload.data
             if isinstance(body, _IpopPacket):
                 if body.target_node == self.name:
-                    self._enqueue_cpu(("in", body))
+                    self._enqueue_cpu("in", body)
                 else:
                     self.packets_relayed += 1
-                    self._enqueue_cpu(("relay", body))
+                    self._enqueue_cpu("relay", body)
             elif isinstance(body, _Hello):
                 if body.sender in self.pending_ring or body.sender in self.neighbors:
                     new = body.sender not in self.neighbors

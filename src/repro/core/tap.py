@@ -11,6 +11,15 @@ Each direction is a *serialized* station (the real driver is a single
 naturally paced through the tap instead of arriving at the access queue
 as one slug. These two knobs (per-frame/per-byte cost) are what Figures
 6-7's "close-to-native" comparison is sensitive to.
+
+Both directions are analytic :class:`~repro.sim.queues.FifoStation`\\ s:
+a frame's copy starts when it arrives or when the previous copy ends,
+and the only calendar entry per frame is its hand-off when the copy
+ends. The bridge folds its forwarding delay into the capture arrival, so
+a captured frame reaches the driver at ``t + forward_delay + cost`` on
+an idle tap. ``queue_capacity`` bounds the frames inside each direction,
+the one being copied included; frames still inside when the tap goes
+down are discarded when their copy ends.
 """
 
 from __future__ import annotations
@@ -20,13 +29,15 @@ from typing import Callable, Optional
 from repro.net.l2 import Port
 from repro.net.packet import EthernetFrame
 from repro.sim.engine import Simulator
-from repro.sim.queues import Store
+from repro.sim.queues import FifoStation, StationJob
 
 __all__ = ["TapDevice"]
 
 
 class TapDevice:
     """Simulated /dev/net/tun endpoint attached to a bridge."""
+
+    takes_arrival = True  # on_frame accepts the bridge's folded arrival time
 
     def __init__(
         self,
@@ -46,42 +57,57 @@ class TapDevice:
         self.frames_injected = 0
         self.drops = 0
         self.up = True
-        self._capture_q: Store = Store(sim, capacity=queue_capacity)
-        self._inject_q: Store = Store(sim, capacity=queue_capacity)
-        sim.process(self._worker(self._capture_q, self._deliver_captured),
-                    name=f"tap-rd:{name}")
-        sim.process(self._worker(self._inject_q, self._deliver_injected),
-                    name=f"tap-wr:{name}")
+        self._reader = FifoStation(sim, capacity=queue_capacity)
+        self._writer = FifoStation(sim, capacity=queue_capacity)
 
-    def _cost(self, frame: EthernetFrame) -> float:
-        return self.per_frame_cost + self.per_byte_cost * frame.size
-
-    def _worker(self, queue: Store, deliver: Callable[[EthernetFrame], None]):
-        while True:
-            frame = yield queue.get()
-            yield self.sim.timeout(self._cost(frame))
-            if self.up:
-                deliver(frame)
-
-    def _deliver_captured(self, frame: EthernetFrame) -> None:
-        if self.capture_handler is not None:
-            self.capture_handler(frame)
-
-    def _deliver_injected(self, frame: EthernetFrame) -> None:
-        self.port.transmit(frame)
+    def _enqueue(self, station: FifoStation, job: "_Captured | _Injected",
+                 arrival: Optional[float]) -> None:
+        if arrival is None:
+            arrival = self.sim.now
+        if not station.offer(job, arrival,
+                             self.per_frame_cost + self.per_byte_cost * job.frame.size):
+            self.drops += 1
 
     # Bridge -> tap (capture: frame leaves the host for the tunnel).
-    def on_frame(self, frame: EthernetFrame, port: Port) -> None:
+    def on_frame(self, frame: EthernetFrame, port: Port,
+                 arrival: Optional[float] = None) -> None:
         if not self.up or self.capture_handler is None:
             return
         self.frames_captured += 1
-        if not self._capture_q.try_put(frame):
-            self.drops += 1
+        self._enqueue(self._reader, _Captured(self, frame), arrival)
 
     # Tunnel -> tap (inject: frame enters the host's bridge).
     def inject(self, frame: EthernetFrame) -> None:
         if not self.up:
             return
         self.frames_injected += 1
-        if not self._inject_q.try_put(frame):
-            self.drops += 1
+        self._enqueue(self._writer, _Injected(self, frame), None)
+
+
+class _Captured(StationJob):
+    """Read loop hand-off: the copied frame reaches the driver."""
+
+    __slots__ = ("tap", "frame")
+
+    def __init__(self, tap: TapDevice, frame: EthernetFrame) -> None:
+        self.tap = tap
+        self.frame = frame
+
+    def __call__(self) -> None:
+        tap = self.tap
+        if tap.up and tap.capture_handler is not None:
+            tap.capture_handler(self.frame)
+
+
+class _Injected(StationJob):
+    """Write loop hand-off: the copied frame enters the bridge."""
+
+    __slots__ = ("tap", "frame")
+
+    def __init__(self, tap: TapDevice, frame: EthernetFrame) -> None:
+        self.tap = tap
+        self.frame = frame
+
+    def __call__(self) -> None:
+        if self.tap.up:
+            self.tap.port.transmit(self.frame)

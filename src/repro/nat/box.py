@@ -11,7 +11,6 @@ do, so ping works from behind the NAT.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable, Optional
 
 from repro.nat.mapping import MappingTable
@@ -31,6 +30,15 @@ from repro.sim.engine import Simulator
 from repro.sim.lifecycle import Component
 
 __all__ = ["NatBox"]
+
+
+def _tcp_ports(seg: TcpSegment, src_port: int, dst_port: int) -> TcpSegment:
+    return TcpSegment(src_port, dst_port, seg.seq, seg.ack, seg.flags, seg.window,
+                      seg.payload_size, seg.payload_data, seg.sack)
+
+
+def _icmp_ident(msg: IcmpMessage, ident: int) -> IcmpMessage:
+    return IcmpMessage(msg.kind, ident, msg.seq, msg.payload_size, msg.timestamp)
 
 
 class NatBox(Router, Component):
@@ -151,7 +159,7 @@ class NatBox(Router, Component):
                 return None
             self.translated_in += 1
             return packet.with_dst(mapping.internal_ip).with_payload(
-                replace(dgram, dst_port=mapping.internal_port))
+                UdpDatagram(dgram.src_port, mapping.internal_port, dgram.payload))
         if packet.proto == PROTO_TCP:
             seg: TcpSegment = payload
             mapping = table.inbound(seg.dst_port, packet.src, seg.src_port, now)
@@ -160,7 +168,7 @@ class NatBox(Router, Component):
                 return None
             self.translated_in += 1
             return packet.with_dst(mapping.internal_ip).with_payload(
-                replace(seg, dst_port=mapping.internal_port))
+                _tcp_ports(seg, seg.src_port, mapping.internal_port))
         if packet.proto == PROTO_ICMP:
             msg: IcmpMessage = payload
             if msg.kind == "echo-request":
@@ -171,7 +179,7 @@ class NatBox(Router, Component):
                 return None
             self.translated_in += 1
             return packet.with_dst(mapping.internal_ip).with_payload(
-                replace(msg, ident=mapping.internal_port))
+                _icmp_ident(msg, mapping.internal_port))
         return packet
 
     def _post_routing(self, packet: IPv4Packet, iface: Interface) -> Optional[IPv4Packet]:
@@ -192,20 +200,20 @@ class NatBox(Router, Component):
             mapping = table.outbound(packet.src, dgram.src_port, packet.dst, dgram.dst_port, now)
             self.translated_out += 1
             return packet.with_src(self.public_ip).with_payload(
-                replace(dgram, src_port=mapping.external_port))
+                UdpDatagram(mapping.external_port, dgram.dst_port, dgram.payload))
         if packet.proto == PROTO_TCP:
             seg: TcpSegment = payload
             mapping = table.outbound(packet.src, seg.src_port, packet.dst, seg.dst_port, now)
             self.translated_out += 1
             return packet.with_src(self.public_ip).with_payload(
-                replace(seg, src_port=mapping.external_port))
+                _tcp_ports(seg, mapping.external_port, seg.dst_port))
         if packet.proto == PROTO_ICMP:
             msg: IcmpMessage = payload
             # NAT on the ident field; destination "port" is 0.
             mapping = table.outbound(packet.src, msg.ident, packet.dst, 0, now)
             self.translated_out += 1
             return packet.with_src(self.public_ip).with_payload(
-                replace(msg, ident=mapping.external_port))
+                _icmp_ident(msg, mapping.external_port))
         return packet
 
     def external_endpoint_for(

@@ -126,7 +126,7 @@ class IPv4Address:
 class IPv4Network:
     """CIDR prefix, e.g. ``IPv4Network('10.1.0.0/24')``."""
 
-    __slots__ = ("network", "prefix_len", "_mask")
+    __slots__ = ("network", "prefix_len", "_mask", "broadcast")
 
     def __init__(self, cidr: str) -> None:
         addr, _, plen = cidr.partition("/")
@@ -138,13 +138,10 @@ class IPv4Network:
         self._mask = ((1 << self.prefix_len) - 1) << (32 - self.prefix_len) if self.prefix_len else 0
         base = IPv4Address(addr).value & self._mask
         self.network = IPv4Address(base)
+        self.broadcast = IPv4Address(base | (~self._mask & 0xFFFFFFFF))
 
     def __contains__(self, ip: IPv4Address) -> bool:
         return (ip.value & self._mask) == self.network.value
-
-    @property
-    def broadcast(self) -> IPv4Address:
-        return IPv4Address(self.network.value | (~self._mask & 0xFFFFFFFF))
 
     def host(self, index: int) -> IPv4Address:
         """The ``index``-th host address (1-based; 0 is the network address)."""

@@ -14,17 +14,25 @@ The medium model:
 * :class:`Switch` — MAC-learning Ethernet switch; :class:`Bridge` is the
   in-host software variant (Linux ``brctl`` equivalent) with a per-frame
   CPU cost.
+
+Every hop costs one calendar entry. Each link direction is an analytic
+:class:`~repro.sim.queues.FifoStation` that schedules only the frame's
+delivery. A switch does not schedule its forwarding delay: it hands the
+next medium the frame together with its arrival time ``now +
+forward_delay``. A link or a tap queues the frame for that time; a patch
+to any other device delivers it then through one calendar entry.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Callable, Optional, Protocol
 
 from repro.net.addresses import MacAddress
 from repro.net.packet import EthernetFrame
 from repro.sim.engine import Simulator
 from repro.sim.lifecycle import Component
-from repro.sim.queues import Channel
+from repro.sim.queues import FifoStation, StationJob
 
 __all__ = ["Bridge", "Link", "Port", "Switch", "patch"]
 
@@ -34,22 +42,32 @@ class FrameHandler(Protocol):  # pragma: no cover - typing helper
 
 
 class Port:
-    """Device attachment point. A port is connected to at most one medium."""
+    """Device attachment point. A port is connected to at most one medium.
 
-    __slots__ = ("owner", "name", "_medium", "up", "_taps")
+    A medium is called as ``medium(frame)`` for a frame entering it now,
+    and as ``medium(frame, arrival)`` when a forwarding device hands it a
+    frame that reaches it at the later time ``arrival``; links and patch
+    cables take both.
+    """
+
+    __slots__ = ("owner", "name", "_medium", "up", "_taps", "_timed", "_sim")
 
     def __init__(self, owner: FrameHandler, name: str = "") -> None:
         self.owner = owner
         self.name = name
-        self._medium: Optional[Callable[[EthernetFrame], None]] = None
+        self._medium: Optional[Callable[..., None]] = None
         self.up = True
         self._taps: Optional[list] = None  # lazily created; hot path stays a None check
+        # An owner that queues frames itself (a FIFO station, e.g. the
+        # tap) takes a future arrival: on_frame(frame, port, arrival).
+        self._timed = getattr(owner, "takes_arrival", False)
+        self._sim: Optional[Simulator] = None  # set by patch()
 
     @property
     def connected(self) -> bool:
         return self._medium is not None
 
-    def connect(self, medium: Callable[[EthernetFrame], None]) -> None:
+    def connect(self, medium: Callable[..., None]) -> None:
         if self._medium is not None:
             raise RuntimeError(f"port {self.name!r} already connected")
         self._medium = medium
@@ -67,45 +85,82 @@ class Port:
         if self._taps is not None and tap in self._taps:
             self._taps.remove(tap)
 
-    def transmit(self, frame: EthernetFrame) -> None:
-        """Push a frame out of the device into the medium (if any)."""
+    def transmit(self, frame: EthernetFrame, arrival: Optional[float] = None) -> None:
+        """Push a frame out of the device into the medium (if any);
+        ``arrival`` is when it gets there (``None``: now)."""
         if self._medium is not None and self.up:
             if self._taps is not None:
                 for tap in self._taps:
-                    tap.frame(self.name, "tx", frame)
-            self._medium(frame)
+                    tap.frame(self.name, "tx", frame, arrival)
+            if arrival is None:
+                self._medium(frame)
+            else:
+                self._medium(frame, arrival)
 
-    def deliver(self, frame: EthernetFrame) -> None:
+    def receive(self, frame: EthernetFrame, arrival: Optional[float] = None) -> None:
+        """Patch-cable end: hand the frame to this port now, or at
+        ``arrival`` — queued by a timed owner itself, otherwise through
+        one calendar entry."""
+        if arrival is None or self._timed:
+            self.deliver(frame, arrival)
+        else:
+            self._sim.call_at(arrival, _Delivery(self, frame))
+
+    def deliver(self, frame: EthernetFrame, arrival: Optional[float] = None) -> None:
         """Hand an arriving frame to the owning device."""
         if self.up:
             if self._taps is not None:
                 for tap in self._taps:
-                    tap.frame(self.name, "rx", frame)
-            self.owner.on_frame(frame, self)
+                    tap.frame(self.name, "rx", frame, arrival)
+            if arrival is None:
+                self.owner.on_frame(frame, self)
+            else:
+                self.owner.on_frame(frame, self, arrival)
 
 
 def patch(a: Port, b: Port) -> None:
     """Connect two ports back-to-back with zero delay (virtual patch cable)."""
-    a.connect(b.deliver)
-    b.connect(a.deliver)
+    a._sim = b._sim = getattr(a.owner, "sim", None) or getattr(b.owner, "sim", None)
+    a.connect(b.receive)
+    b.connect(a.receive)
 
 
-class _Pipe:
-    """One direction of a link: queue -> serializer -> propagation.
+class _Delivery:
+    """A frame reaching a port at a later time: one fast-lane entry."""
 
-    The datapath is callback-driven on the kernel fast lane — no
-    transmitter process, no per-frame Event round-trip:
+    __slots__ = ("port", "frame")
 
-    * **Unshaped bypass** — with ``bandwidth_bps is None`` and an idle
-      serializer, ``send`` schedules the delivery directly: one calendar
-      entry per frame, zero Event allocations.
-    * **Shaped path** — an idle serializer starts the frame immediately
-      via one ``call_in``; completion pulls the next frame off the
-      drop-tail queue. Two calendar entries per frame total.
+    def __init__(self, port: Port, frame: EthernetFrame) -> None:
+        self.port = port
+        self.frame = frame
 
-    Timing is identical to the old process-based transmitter: frames
-    serialize strictly in order, loss is drawn after serialization, and
-    reshaping mid-frame lets the in-service frame finish at the old rate.
+    def __call__(self) -> None:
+        self.port.deliver(self.frame)
+
+
+class _Pipe(FifoStation):
+    """One direction of a link: drop-tail queue -> serializer ->
+    propagation, as one analytic FIFO station.
+
+    A frame's serialization starts at ``max(arrival, busy_until)`` and
+    lasts ``size * 8 / bandwidth_bps`` (zero when unshaped); the pipe
+    schedules only its delivery, at finish + ``latency``. Timing is that
+    of a transmitter serializing strictly in order:
+
+    * **Loss** is drawn at the delivery entry from the link's stream
+      (shared by both directions, which share one latency, so draws keep
+      the order in which serialization ended), with the loss probability
+      in effect when serialization ended.
+    * **Drop-tail** — ``queue_capacity`` counts frames waiting behind the
+      one on the serializer, at the frame's arrival.
+    * **Reshaping** — :meth:`reshape` moves frames not yet in service to
+      the new rate; the frame in service finishes at the old one. A new
+      ``latency`` applies to every frame whose serialization has not
+      ended.
+    * **Admin-down** drops new arrivals, including frames a switch has
+      already handed over for a later arrival; queued frames drain.
+    * ``bytes_sent`` / ``frames_sent`` count frames whose serialization
+      has ended (lost ones included).
     """
 
     def __init__(
@@ -119,78 +174,122 @@ class _Pipe:
         loss_rng,
         name: str,
     ) -> None:
-        self.sim = sim
+        # One slot more than the queue: the frame on the serializer.
+        super().__init__(sim, capacity=queue_capacity + 1, latency=latency)
         self.dst = dst
-        self.latency = latency
         self.bandwidth_bps = bandwidth_bps
         self.loss = loss
         self._loss_rng = loss_rng
         self.name = name
-        self.queue = Channel(sim, capacity=queue_capacity)
         self.up = True  # admin state, mirrored from the owning Link
-        self.bytes_sent = 0
-        self.frames_sent = 0
+        self.drops = 0  # drop-tail overflows
         self.frames_lost = 0
         self.frames_dropped_down = 0  # offered while admin-down
-        self._tx_frame: Optional[EthernetFrame] = None  # frame in service
-        self._finish_cb = self._finish_tx  # bind once, not per frame
+        self._bytes_in = 0  # admitted, serialized or not
+        self._frames_in = 0
+        self._undrawn: deque[_Transit] = deque()  # lossy frames not yet drawn, FIFO
 
-    def send(self, frame: EthernetFrame) -> None:
+    def send(self, frame: EthernetFrame, arrival: Optional[float] = None) -> None:
         if not self.up:
             self.frames_dropped_down += 1
             return
-        if self._tx_frame is None and not self.queue.items:
-            bw = self.bandwidth_bps
-            if bw is None:
-                self._emit(frame)  # unshaped bypass: straight to the wire
-                return
-            self._tx_frame = frame
-            self.sim.call_in(frame.size * 8.0 / bw, self._finish_cb)
+        if arrival is None:
+            arrival = self.sim.now
+        size = frame.size
+        bw = self.bandwidth_bps
+        loss = self.loss
+        job = _Transit(self, frame, loss)
+        if not self.offer(job, arrival, 0.0 if bw is None else size * 8.0 / bw):
+            self.drops += 1
             return
-        self.queue.offer(frame)  # drop-tail on overflow (counted by Channel)
+        self._bytes_in += size
+        self._frames_in += 1
+        if loss > 0.0:
+            self._undrawn.append(job)
+
+    def _unserialized(self) -> list:
+        """Frames whose serialization has not ended (in service, waiting,
+        or handed over for a later arrival)."""
+        now = self.sim.now
+        return [job for job in self.jobs if job.finish > now]
 
     @property
-    def drops(self) -> int:
-        return self.queue.drops
+    def bytes_sent(self) -> int:
+        # Read on every fluid-plane solve: skip the scan when every
+        # admitted frame has been serialized.
+        jobs = self.jobs
+        if not jobs or jobs[-1].finish <= self.sim.now:
+            return self._bytes_in
+        return self._bytes_in - sum(job.frame.size for job in self._unserialized())
 
-    def _emit(self, frame: EthernetFrame) -> None:
-        """Post-serialization half: accounting, loss, propagation."""
-        self.bytes_sent += frame.size
-        self.frames_sent += 1
-        if self.loss > 0.0 and self._loss_rng.random() < self.loss:
-            self.frames_lost += 1
-            return
-        self.sim.call_in(self.latency, _Delivery(self.dst, frame))
+    @property
+    def frames_sent(self) -> int:
+        return self._frames_in - len(self._unserialized())
 
-    def _finish_tx(self) -> None:
-        frame = self._tx_frame
-        self._tx_frame = None
-        assert frame is not None
-        self._emit(frame)
-        # Pull queued frames; loop (not recursion) in case the link was
-        # reshaped to unbounded rate while frames were queued.
-        queue = self.queue
-        while queue.items:
-            frame = queue.get_nowait()
-            bw = self.bandwidth_bps
-            if bw:
-                self._tx_frame = frame
-                self.sim.call_in(frame.size * 8.0 / bw, self._finish_cb)
-                return
-            self._emit(frame)
+    def reshape(self, bandwidth_bps: Optional[float]) -> None:
+        self.bandwidth_bps = bandwidth_bps
+        if bandwidth_bps is None:
+            self.retime(self.latency, lambda job: 0.0)
+        else:
+            self.retime(self.latency, lambda job: job.frame.size * 8.0 / bandwidth_bps)
+
+    def set_loss(self, loss: float) -> None:
+        """Frames whose serialization has not ended take the new loss."""
+        self.loss = loss
+        now = self.sim.now
+        undrawn = [job for job in self._undrawn if job.finish <= now]
+        for job in self._unserialized():
+            job.loss = loss
+            if loss > 0.0:
+                undrawn.append(job)
+        self._undrawn = deque(undrawn)
+
+    def admin_down(self) -> None:
+        self.up = False
+        gone = self.withdraw_after(self.sim.now)
+        if gone:
+            ids = {id(job) for job in gone}
+            undrawn = self._undrawn
+            while undrawn and id(undrawn[-1]) in ids:
+                undrawn.pop()
+        self.frames_dropped_down += len(gone)
+        self._frames_in -= len(gone)
+        self._bytes_in -= sum(job.frame.size for job in gone)
+
+    def draw_on_the_wire(self) -> list:
+        """Take the lossy frames whose serialization has ended but that
+        are not delivered yet off the draw queue (in serialization-end
+        order), for the link to draw now."""
+        now = self.sim.now
+        undrawn = self._undrawn
+        flying = []
+        while undrawn and undrawn[0].finish <= now:
+            flying.append(undrawn.popleft())
+        return flying
 
 
-class _Delivery:
-    """Bound frame delivery; avoids closure allocation churn on hot path."""
+class _Transit(StationJob):
+    """A frame crossing one link direction; runs at its delivery time."""
 
-    __slots__ = ("port", "frame")
+    __slots__ = ("pipe", "frame", "loss")
 
-    def __init__(self, port: Port, frame: EthernetFrame) -> None:
-        self.port = port
+    def __init__(self, pipe: _Pipe, frame: EthernetFrame, loss: float) -> None:
+        self.pipe = pipe
         self.frame = frame
+        self.loss = loss
 
     def __call__(self) -> None:
-        self.port.deliver(self.frame)
+        pipe = self.pipe
+        loss = self.loss
+        if loss > 0.0:
+            pipe._undrawn.popleft()  # this frame: the pipe delivers in FIFO order
+            if pipe._loss_rng.random() < loss:
+                pipe.frames_lost += 1
+                return
+        elif loss < 0.0:  # drawn early (see Link.set_latency): lost
+            pipe.frames_lost += 1
+            return
+        pipe.dst.deliver(self.frame)
 
 
 class Link(Component):
@@ -251,7 +350,8 @@ class Link(Component):
         self.restore()
 
     def _on_stop(self) -> None:
-        self.ab.up = self.ba.up = False
+        self.ab.admin_down()
+        self.ba.admin_down()
         self._notify_watchers()
 
     def _on_restore(self) -> None:
@@ -259,14 +359,28 @@ class Link(Component):
         self._notify_watchers()
 
     def set_bandwidth(self, bandwidth_bps: Optional[float]) -> None:
-        """``tc``-style reshaping of both directions."""
-        self.ab.bandwidth_bps = bandwidth_bps
-        self.ba.bandwidth_bps = bandwidth_bps
+        """``tc``-style reshaping of both directions: frames not yet in
+        service move to the new rate."""
+        self.ab.reshape(bandwidth_bps)
+        self.ba.reshape(bandwidth_bps)
         self._notify_watchers()
 
     def set_latency(self, latency: float) -> None:
-        self.ab.latency = latency
-        self.ba.latency = latency
+        """New propagation delay for every frame whose serialization has
+        not ended; frames already on the wire keep the old one."""
+        if latency < 0:
+            raise ValueError(f"negative latency {latency}")
+        # Frames on the wire keep the old latency, so after the change
+        # delivery order need not be serialization-end order any more.
+        # Their loss is drawn now, in that order, ahead of every frame
+        # still to be serialized: the link's draw sequence is unchanged.
+        flying = self.ab.draw_on_the_wire() + self.ba.draw_on_the_wire()
+        flying.sort(key=lambda job: job.finish)
+        rng = self.ab._loss_rng
+        for job in flying:
+            job.loss = -1.0 if rng.random() < job.loss else 0.0
+        self.ab.retime(latency)
+        self.ba.retime(latency)
         self._notify_watchers()
 
     def set_loss(self, loss: float) -> None:
@@ -274,8 +388,8 @@ class Link(Component):
         (loss bursts); draws keep coming from the link's named stream."""
         if not 0.0 <= loss < 1.0:
             raise ValueError(f"loss must be in [0,1), got {loss}")
-        self.ab.loss = loss
-        self.ba.loss = loss
+        self.ab.set_loss(loss)
+        self.ba.set_loss(loss)
         self._notify_watchers()
 
     @property
@@ -359,21 +473,12 @@ class Switch:
         # out is in_port: destination is on the segment it came from; drop.
 
     def _emit(self, port: Port, frame: EthernetFrame) -> None:
+        # The forwarding delay rides on the frame as its arrival time at
+        # the next medium; it never costs a calendar entry of its own.
         if self.forward_delay > 0:
-            self.sim.call_in(self.forward_delay, _PortEmit(port, frame))
+            port.transmit(frame, self.sim.now + self.forward_delay)
         else:
             port.transmit(frame)
-
-
-class _PortEmit:
-    __slots__ = ("port", "frame")
-
-    def __init__(self, port: Port, frame: EthernetFrame) -> None:
-        self.port = port
-        self.frame = frame
-
-    def __call__(self) -> None:
-        self.port.transmit(self.frame)
 
 
 class Bridge(Switch):

@@ -12,12 +12,14 @@ match the real protocols:
 * ICMP echo header: 8 B
 
 Every object exposes ``.size`` — its on-wire byte count including the
-sizes of everything it encapsulates.
+sizes of everything it encapsulates. Packets are immutable, so the size
+is computed once, when the object is built, and stored as a plain
+attribute (not part of equality, hashing or ``repr``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.net.addresses import IPv4Address, MacAddress
@@ -70,6 +72,13 @@ class Payload:
             raise ValueError(f"negative payload size {self.size}")
 
 
+_set = object.__setattr__  # frozen dataclasses: set the cached size once
+
+
+def _size_field():
+    return field(init=False, repr=False, compare=False)
+
+
 @dataclass(frozen=True)
 class IcmpMessage:
     """ICMP echo request/reply (``kind`` is 'echo-request'/'echo-reply')."""
@@ -79,10 +88,10 @@ class IcmpMessage:
     seq: int
     payload_size: int = 56
     timestamp: float = 0.0  # sender's clock, echoed back for RTT
+    size: int = _size_field()
 
-    @property
-    def size(self) -> int:
-        return ICMP_HEADER + self.payload_size
+    def __post_init__(self) -> None:
+        _set(self, "size", ICMP_HEADER + self.payload_size)
 
 
 @dataclass(frozen=True)
@@ -90,10 +99,10 @@ class UdpDatagram:
     src_port: int
     dst_port: int
     payload: Payload
+    size: int = _size_field()
 
-    @property
-    def size(self) -> int:
-        return UDP_HEADER + self.payload.size
+    def __post_init__(self) -> None:
+        _set(self, "size", UDP_HEADER + self.payload.size)
 
 
 # TCP flag bits.
@@ -116,10 +125,10 @@ class TcpSegment:
     # SACK blocks: up to 4 (start, end) byte ranges the receiver holds
     # above the cumulative ACK (RFC 2018; on by default as in 2011 Linux).
     sack: tuple = ()
+    size: int = _size_field()
 
-    @property
-    def size(self) -> int:
-        return TCP_HEADER + self.payload_size
+    def __post_init__(self) -> None:
+        _set(self, "size", TCP_HEADER + self.payload_size)
 
     @property
     def syn(self) -> bool:
@@ -157,10 +166,10 @@ class IPv4Packet:
     proto: int
     payload: Any  # UdpDatagram | TcpSegment | IcmpMessage
     ttl: int = 64
+    size: int = _size_field()
 
-    @property
-    def size(self) -> int:
-        return IPV4_HEADER + self.payload.size
+    def __post_init__(self) -> None:
+        _set(self, "size", IPV4_HEADER + self.payload.size)
 
     def decremented(self) -> "IPv4Packet":
         return IPv4Packet(self.src, self.dst, self.proto, self.payload, self.ttl - 1)
@@ -185,10 +194,7 @@ class ArpPacket:
     sender_ip: IPv4Address
     target_mac: Optional[MacAddress]
     target_ip: IPv4Address
-
-    @property
-    def size(self) -> int:
-        return ARP_SIZE
+    size = ARP_SIZE  # class constant, not a field
 
     @property
     def is_gratuitous(self) -> bool:
@@ -202,12 +208,13 @@ class EthernetFrame:
     ethertype: int
     payload: Any  # IPv4Packet | ArpPacket
     vlan: Optional[int] = None
+    size: int = _size_field()
 
-    @property
-    def size(self) -> int:
-        # Minimum Ethernet payload is 46 B (frames are padded on the wire).
-        body = max(self.payload.size, 46)
-        return ETHERNET_HEADER + ETHERNET_FCS + body
+    def __post_init__(self) -> None:
+        # Minimum Ethernet payload is 46 B (frames are padded on the wire);
+        # a frame without payload is an empty, padded one.
+        body = 0 if self.payload is None else self.payload.size
+        _set(self, "size", ETHERNET_HEADER + ETHERNET_FCS + (body if body > 46 else 46))
 
 
 def ipv4(src: IPv4Address, dst: IPv4Address, payload: Any, ttl: int = 64) -> IPv4Packet:

@@ -47,19 +47,22 @@ class PacketTap:
 
     # -- capture entry points (called from the tapped objects) ----------
     def record(self, point: str, direction: str, kind: str, size: int,
-               src=None, dst=None, info: Optional[str] = None) -> None:
+               src=None, dst=None, info: Optional[str] = None,
+               t: Optional[float] = None) -> None:
+        """``t`` stamps a frame handed on now that reaches the capture
+        point later (a switch's folded forwarding delay); default now."""
         if self.capacity is not None and len(self.records) >= self.capacity:
             self.truncated += 1
             return
         self.records.append(TapRecord(
-            self.sim.now, point, direction, kind, int(size),
+            self.sim.now if t is None else t, point, direction, kind, int(size),
             None if src is None else str(src),
             None if dst is None else str(dst), info))
 
-    def frame(self, point: str, direction: str, frame) -> None:
+    def frame(self, point: str, direction: str, frame, t: Optional[float] = None) -> None:
         """Capture an Ethernet frame (any object with src/dst/size/payload)."""
         self.record(point, direction, "eth", frame.size, frame.src, frame.dst,
-                    type(frame.payload).__name__)
+                    type(frame.payload).__name__, t)
 
     def packet(self, point: str, direction: str, packet) -> None:
         """Capture an IPv4 packet."""

@@ -491,8 +491,9 @@ class Simulator:
             self._compact()
 
     def _compact(self) -> None:
+        cal = self._calendar
         live = []
-        for entry in self._calendar:
+        for entry in cal:
             item = entry[2]
             if item is None:
                 fn = entry[3]
@@ -501,9 +502,26 @@ class Simulator:
             elif item._state == _CANCELLED:
                 continue
             live.append(entry)
-        heapq.heapify(live)  # (time, seq) keys are untouched: order is preserved
-        self._calendar = live
+        # In place: a dispatch loop that holds the calendar in a local
+        # (run(until=event)) must keep seeing the same heap.
+        cal[:] = live
+        heapq.heapify(cal)  # (time, seq) keys are untouched: order is preserved
         self._cancelled = 0
+
+    def retract(self, fns: Iterable[Callable[[], None]]) -> None:
+        """Take pending fast-lane calls (:meth:`call_at` / :meth:`call_in`)
+        off the calendar, matched by identity of the callable.
+
+        O(calendar): meant for rare reconfiguration paths, e.g. a link
+        reshaped while frames are queued re-times their deliveries. The
+        heap is filtered in place, so dispatch loops keep their reference.
+        """
+        ids = {id(fn) for fn in fns}
+        if not ids:
+            return
+        cal = self._calendar
+        cal[:] = [entry for entry in cal if entry[2] is not None or id(entry[3]) not in ids]
+        heapq.heapify(cal)
 
     # -- execution ----------------------------------------------------
     def peek(self) -> float:
@@ -574,12 +592,17 @@ class Simulator:
         ``until`` event triggers (its value is returned)."""
         if isinstance(until, Event):
             stop = until
-            while not stop.triggered:
-                if not self._calendar:
-                    raise SimulationError(
-                        "run(until=event): calendar drained before event triggered"
-                    )
-                self.step()
+            if self.profile.enabled:
+                # Profiled runs dispatch through step(), the per-entry
+                # hook that profilers and tracers wrap.
+                while stop._state == _PENDING:
+                    if not self._calendar:
+                        raise SimulationError(
+                            "run(until=event): calendar drained before event triggered"
+                        )
+                    self.step()
+            else:
+                self._run_until_triggered(stop)
             if stop._exc is not None:
                 # The awaited event failed: surface the failure to the
                 # caller instead of silently returning None (its waiters,
@@ -602,6 +625,38 @@ class Simulator:
         if horizon != float("inf"):
             self.now = horizon
         return None
+
+    def _run_until_triggered(self, stop: Event) -> None:
+        """The dispatch loop of :meth:`step`, inlined for
+        ``run(until=event)``: one heap pop per entry, no method call and
+        no property read per dispatch."""
+        cal = self._calendar
+        pop = heapq.heappop
+        while stop._state == _PENDING:
+            if not cal:
+                raise SimulationError(
+                    "run(until=event): calendar drained before event triggered"
+                )
+            entry = pop(cal)
+            item = entry[2]
+            if item is None:
+                fn = entry[3]
+                if fn.__class__ is Timer:
+                    cb = fn.fn
+                    if cb is None:
+                        self._cancelled -= 1
+                        continue
+                    fn.fn = None
+                    fn = cb
+                self.now = entry[0]
+                self.events_dispatched += 1
+                fn()
+            elif item._state == _CANCELLED:
+                self._cancelled -= 1
+            else:
+                self.now = entry[0]
+                self.events_dispatched += 1
+                item._run_callbacks()
 
     def run_window(self, end: float) -> None:
         """Dispatch every live entry with time strictly below ``end``,

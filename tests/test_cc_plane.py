@@ -62,7 +62,7 @@ class TestExtractionGoldens:
         tx = sim.process(ttcp_transfer(pair.host_a, pair.ip_b,
                                        2 * 1024 * 1024, buf_size=16384))
         sim.run(until=tx)
-        assert sim.events_dispatched == 70223
+        assert sim.events_dispatched == 36730
         assert sim.now == 8.321956171784915
         assert tx.value.rate_kbps == 1439.4374177960692
 
@@ -75,7 +75,7 @@ class TestExtractionGoldens:
         sim.process(netserver(pair.host_b))
         p = sim.process(netperf_stream(pair.host_a, pair.ip_b, duration=3.0))
         sim.run(until=p)
-        assert sim.events_dispatched == 141662
+        assert sim.events_dispatched == 93604
         assert sim.now == 3.04008192
         assert p.value.throughput_mbps == 46.47562666666667
 
@@ -90,7 +90,7 @@ class TestExtractionGoldens:
         tx = sim.process(ttcp_transfer(pair.host_a, pair.ip_b, 1024 * 1024,
                                        buf_size=16384))
         sim.run(until=tx)
-        assert sim.events_dispatched == 61042
+        assert sim.events_dispatched == 31519
         assert sim.now == 1.8996153161233158
         assert tx.value.rate_kbps == 836.3972337686617
 
@@ -106,7 +106,7 @@ class TestExtractionGoldens:
                          concurrency=4)
         p = sim.process(ab.run_requests(60))
         sim.run(until=p)
-        assert sim.events_dispatched == 31849
+        assert sim.events_dispatched == 17138
         assert sim.now == 8.27973915199994
         assert p.value.requests_per_second == 40.59708595921439
         assert p.value.connect_ms() == (30.376319999998458,
@@ -137,7 +137,7 @@ class TestExtractionGoldens:
         sim.process(srv(sim))
         sim.process(cli(sim))
         sim.run(until=300)
-        assert sim.events_dispatched == 22456
+        assert sim.events_dispatched == 14489
         assert sim.now == 300.0
         assert res["got"] == 2_000_000
         assert res["rtx"] == 369
@@ -158,7 +158,7 @@ class TestExtractionGoldens:
                                        options=TransferOptions(
                                            fidelity="fluid")))
         sim.run(until=tx)
-        assert sim.events_dispatched == 724
+        assert sim.events_dispatched == 462
         assert sim.now == 8.074181891091174
         assert tx.value.rate_kbps == 1591.3560850714712
 

@@ -189,3 +189,50 @@ class TestTapDevice:
         for _ in range(5):
             tap.on_frame(make_frame(), tap.port)
         assert tap.drops == 3
+
+
+class TestTapStation:
+    """Edge cases of the tap's analytic read/write stations."""
+
+    def test_frames_inside_when_tap_stops_are_discarded_at_finish(self):
+        sim = Simulator()
+        tap = TapDevice(sim, per_frame_cost=100e-6, per_byte_cost=0.0)
+        captured = []
+        tap.capture_handler = lambda f: captured.append(sim.now)
+        tap.on_frame(make_frame(), tap.port)  # copying until 100us
+        tap.on_frame(make_frame(), tap.port)  # waiting, done at 200us
+        sim.run(until=50e-6)
+        tap.up = False  # the driver stops mid-copy
+        sim.run()
+        assert captured == []
+        assert tap.frames_captured == 2 and tap.drops == 0
+        assert sim.now == 200e-6  # each frame left the tap when its copy ended
+
+    def test_bridge_capture_reaches_driver_after_forward_delay_and_cost(self):
+        from repro.net.l2 import Bridge
+
+        sim = Simulator()
+        bridge = Bridge(sim, forward_delay=15e-6)
+        tap = TapDevice(sim, per_frame_cost=20e-6, per_byte_cost=4e-9)
+        patch(tap.port, bridge.new_port("tap"))
+
+        class Vif:
+            def __init__(self):
+                self.port = Port(self, "vif")
+
+            def on_frame(self, frame, port):
+                pass
+
+        vif = Vif()
+        patch(vif.port, bridge.new_port("vif"))
+        captured = []
+        tap.capture_handler = lambda f: captured.append(sim.now)
+        frame = make_frame()
+        sim.run(until=1.0)
+        vif.port.transmit(frame)  # unknown destination: flooded to the tap
+        sim.run()
+        cost = tap.per_frame_cost + tap.per_byte_cost * frame.size
+        assert captured == [(1.0 + bridge.forward_delay) + cost]
+        # The forwarding delay rides on the frame: the only calendar
+        # entry the capture costs is its hand-off to the driver.
+        assert sim.events_dispatched == 1

@@ -535,6 +535,38 @@ def test_calendar_compaction_reclaims_canceled_bulk():
     assert sim.now == 1.0
 
 
+def test_run_until_event_survives_mid_run_compaction(monkeypatch):
+    """Compaction must filter the heap in place: run(until=event) holds
+    the calendar in a local while it dispatches."""
+    sim = Simulator()
+    compactions = []
+    compact = Simulator._compact
+
+    def counting(self):
+        compactions.append(self.now)
+        compact(self)
+
+    monkeypatch.setattr(Simulator, "_compact", counting)
+
+    def sleeper(sim):
+        try:
+            yield sim.timeout(1000.0)
+        except Interrupt:
+            pass
+
+    def driver(sim):
+        sleepers = [sim.process(sleeper(sim)) for _ in range(100)]
+        yield sim.timeout(1.0)
+        for proc in sleepers:
+            proc.interrupt()  # cancels the sleeper's timeout
+            yield sim.timeout(0.001)
+        return "done"
+
+    assert sim.run(until=sim.process(driver(sim))) == "done"
+    assert compactions and 1.0 < compactions[0] < sim.now
+    assert sim.now == pytest.approx(1.1)
+
+
 def test_run_coro_runs_generator_to_completion():
     sim = Simulator()
 
