@@ -10,6 +10,5 @@ python benchmarks/bench_fluid_agreement.py --check 2>&1 | tee /root/repo/bench_f
 python benchmarks/bench_fluid_scale.py --check 2>&1 | tee /root/repo/bench_fluid_scale_output.txt
 python benchmarks/bench_scale_endpoints.py --check 2>&1 | tee /root/repo/bench_scale_output.txt
 python benchmarks/bench_fairness.py --check 2>&1 | tee /root/repo/bench_fairness_output.txt
-python benchmarks/bench_pdes_speedup.py --check 2>&1 | tee /root/repo/bench_pdes_output.txt
 python benchmarks/bench_traversal.py --check 2>&1 | tee /root/repo/bench_traversal_output.txt
 python -m pytest benchmarks/ --benchmark-only 2>&1 | tee /root/repo/bench_output.txt

@@ -19,9 +19,9 @@ running experiments: deployment assembly (:class:`WavnetEnvironment`,
 :class:`WavnetDriver`, :class:`NatType`), per-call behaviour bundles
 (:class:`ConnectOptions`, :class:`TransferOptions`), the experiment
 plane (:class:`ExperimentSpec`, :class:`Sweep`, :class:`SweepRunner`,
-:func:`run_sweep`, :func:`run_partitioned`), fault injection
-(:class:`FaultPlan`, :class:`FaultInjector`), and VM migration
-(:class:`Hypervisor`, :class:`VirtualMachine`).
+:func:`run_sweep`), fault injection (:class:`FaultPlan`,
+:class:`FaultInjector`), and VM migration (:class:`Hypervisor`,
+:class:`VirtualMachine`).
 
 Package map: :mod:`repro.sim` (event kernel), :mod:`repro.net` (network
 substrate), :mod:`repro.nat` / :mod:`repro.stun` (NAT traversal),
@@ -46,7 +46,6 @@ from repro.faults import FaultInjector, FaultPlan
 from repro.nat.types import NatType
 from repro.scenarios.wavnet_env import WavnetEnvironment
 from repro.sim.engine import Simulator
-from repro.sim.pdes import run_partitioned
 from repro.vm.hypervisor import Hypervisor
 from repro.vm.machine import VirtualMachine
 
@@ -71,7 +70,6 @@ __all__ = [
     "greedy_group",
     "locality_sensitive_group",
     "random_group",
-    "run_partitioned",
     "run_sweep",
     "__version__",
 ]

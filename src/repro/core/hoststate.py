@@ -158,10 +158,6 @@ class HostTable:
         # Sparse side tables (empty for ordinary endpoints).
         self._extra_attrs: dict[int, dict] = {}
         self._site_cfg: dict[int, dict] = {}
-        # PDES single-owner access: when set via claim_partition(),
-        # registration-state mutations outside the owning partition are
-        # placement bugs and raise instead of silently diverging.
-        self._partition_guard = None
         m = sim.metrics.scope("hosttable")
         self._m_registered = m.counter("registered")
         self._m_expired = m.counter("expired")
@@ -277,33 +273,12 @@ class HostTable:
         registering it — scenario setup reserves rows this way."""
         return self._ensure_row(name)
 
-    # -- PDES single-owner access --------------------------------------
-    def claim_partition(self, owner_group: int, context) -> None:
-        """Declare registration state single-owner for PDES: only the
-        partition owning ``owner_group`` (per the
-        :class:`~repro.sim.pdes.PartitionContext`) may mutate it. Every
-        partition replicates the *rows* (so address allocation stays in
-        lock-step), but registrations/keepalives/expiry land only where
-        the rendezvous servers live; elsewhere they raise."""
-        self._partition_guard = (int(owner_group), context)
-
-    def _check_owner(self) -> None:
-        if self._partition_guard is None:
-            return
-        owner_group, ctx = self._partition_guard
-        if not ctx.owns(owner_group):
-            raise RuntimeError(
-                f"HostTable registration state is owned by the partition "
-                f"holding group {owner_group}; this mutation ran in "
-                f"partition {ctx.partition_id} — a PDES placement bug")
-
     def register(self, name: str, conn: ConnectionInfo, attrs: dict,
                  reach: tuple, now: float, owner: int = -1,
                  region: int = -1) -> int:
         """Admit (or re-admit) ``name``; returns its row id. Bumps the
         generation so handles minted for the previous registration go
         stale."""
-        self._check_owner()
         i = self._ensure_row(name)
         self.public_ip[i] = conn.public_ip.value
         self.public_port[i] = conn.public_port
@@ -337,7 +312,6 @@ class HostTable:
         parallel per-endpoint columns; ``rendezvous``/``reach`` are
         shared (IPv4Address, port) endpoints. Returns the row ids.
         """
-        self._check_owner()
         ids = np.fromiter((self._ensure_row(n) for n in names),
                           dtype=np.int64, count=len(names))
         self.public_ip[ids] = public_ip
@@ -399,7 +373,6 @@ class HostTable:
     def touch_names(self, names, now: float) -> int:
         """Batched keepalive: bump liveness epochs for every known name;
         returns how many were still-registered rows."""
-        self._check_owner()
         ids = [self._ids[n] for n in names if n in self._ids]
         if not ids:
             return 0
@@ -428,7 +401,6 @@ class HostTable:
         """Unregister rows whose liveness epoch predates ``horizon``
         (materialized hosts are exempt — their drivers keepalive).
         Returns the expired names."""
-        self._check_owner()
         n = self._n
         mask = ((self.flags[:n] & FLAG_REGISTERED) != 0) \
             & ((self.flags[:n] & FLAG_MATERIALIZED) == 0) \
@@ -446,7 +418,6 @@ class HostTable:
         """Fault verb support: endpoints went dark. Their registrations
         drop immediately (the storm re-registers them later); row data
         survives so reconnection needs no side channel."""
-        self._check_owner()
         count = 0
         for name in names:
             host_id = self._ids.get(name)

@@ -17,28 +17,26 @@ With ``workers > 1`` the pending points are dealt round-robin into one
 shard per worker; each worker process runs its specs with
 :func:`repro.exp.spec.run_spec`, writes every envelope to the store the
 moment it completes (so a crashed sweep resumes from what finished),
-and streams the envelope back to the parent over a queue. Simulations
-are deterministic and independent, so the sharded result is
-byte-identical to the serial one (``envelope_bytes``).
-
-A spec carrying ``partitions > 1`` (for a scenario with a registered
-pdes merger) is executed through :func:`repro.sim.pdes.run_partitioned`
-instead — the point itself fans out into one process per site
-partition. That composes with sweep sharding: the per-point process
-pool is spun up inside whichever worker runs the point.
+and streams the envelope back to the parent over its own pipe.
+Simulations are deterministic and independent, so the sharded result is
+byte-identical to the serial one (``envelope_bytes``). A worker that
+dies mid-shard loses only its unfinished points: the parent reads every
+pipe until its worker exits, keeps the survivors' results, and reports
+the dead shard's missing points in :class:`SweepError`.
 """
 
 from __future__ import annotations
 
 import json
 import multiprocessing
+import multiprocessing.connection
 import os
 import pathlib
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, Optional
 
-from repro.exp.spec import ExperimentSpec, envelope_bytes
+from repro.exp.spec import ExperimentSpec, envelope_bytes, run_spec
 from repro.exp.sweep import Sweep, SweepPoint
 
 __all__ = ["PointResult", "SweepError", "SweepResult", "SweepRunner",
@@ -130,21 +128,19 @@ class SweepResult:
                 f"wall={self.wall_seconds:.2f}s, workers={self.workers})")
 
 
-def _shard_worker(shard: list, out_dir: str, queue) -> None:
+def _shard_worker(shard: list, out_dir: str, conn) -> None:
     """Worker-process entry point: run each (index, spec) of the shard,
-    persist the envelope, stream it back. Errors are reported per point
-    so one bad spec does not sink the shard."""
-    from repro.sim.pdes import execute_spec
-
+    persist the envelope, stream it back over ``conn``. Errors are
+    reported per point so one bad spec does not sink the shard."""
     for index, spec in shard:
         try:
-            envelope = execute_spec(spec)
+            envelope = run_spec(spec)
             _write_artifact(pathlib.Path(out_dir), _point_key(index, spec),
                             envelope)
-            queue.put((index, envelope, None))
+            conn.send((index, envelope, None))
         except BaseException as exc:  # noqa: BLE001 - crosses process boundary
             import traceback
-            queue.put((index, None,
+            conn.send((index, None,
                        f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"))
 
 
@@ -243,12 +239,10 @@ class SweepRunner:
 
     def _run_serial(self, pending: list[SweepPoint],
                     results: dict[int, PointResult]) -> None:
-        from repro.sim.pdes import execute_spec
-
         failures: dict[int, str] = {}
         for point in pending:
             try:
-                envelope = execute_spec(point.spec)
+                envelope = run_spec(point.spec)
             except Exception as exc:  # noqa: BLE001
                 import traceback
                 failures[point.index] = f"{exc}\n{traceback.format_exc()}"
@@ -275,39 +269,52 @@ class SweepRunner:
         for i, point in enumerate(pending):
             shards[i % n_workers].append((point.index, point.spec))
 
-        queue = ctx.Queue()
-        procs = [ctx.Process(target=_shard_worker,
-                             args=(shard, str(self.out_dir), queue),
-                             name=f"sweep-{self.sweep.name}-w{i}", daemon=True)
-                 for i, shard in enumerate(shards)]
-        for proc in procs:
+        # One pipe per worker: a worker that dies can neither hold a
+        # lock the others need nor leave them blocked on a full buffer,
+        # and its pipe reads EOF once everything it sent is drained.
+        # Each write end is closed here right after its fork, so later
+        # workers do not inherit it and EOF really means "exited".
+        readers = {}
+        for i, shard in enumerate(shards):
+            reader, writer = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_shard_worker,
+                               args=(shard, str(self.out_dir), writer),
+                               name=f"sweep-{self.sweep.name}-w{i}", daemon=True)
             proc.start()
+            writer.close()
+            readers[reader] = (proc, shard)
 
         failures: dict[int, str] = {}
-        received = 0
+        received: set[int] = set()
+        live = list(readers)
         try:
-            while received < len(pending):
-                try:
-                    index, envelope, error = queue.get(timeout=1.0)
-                except Exception:  # queue.Empty: check for dead workers
-                    if any(p.exitcode not in (0, None) for p in procs):
-                        break  # a worker was killed mid-shard
-                    continue
-                received += 1
-                if error is not None:
-                    failures[index] = error
-                    continue
-                point = by_index[index]
-                result = PointResult(index, point.coords, envelope,
-                                     cached=False)
-                results[index] = result
-                self._progress(result)
+            while live:
+                for reader in multiprocessing.connection.wait(live):
+                    try:
+                        index, envelope, error = reader.recv()
+                    except (EOFError, OSError):
+                        live.remove(reader)  # worker exited, pipe drained
+                        continue
+                    received.add(index)
+                    if error is not None:
+                        failures[index] = error
+                        continue
+                    point = by_index[index]
+                    result = PointResult(index, point.coords, envelope,
+                                         cached=False)
+                    results[index] = result
+                    self._progress(result)
         finally:
-            for proc in procs:
+            for reader in readers:
+                reader.close()
+            for proc, _shard in readers.values():
                 proc.join()
-        dead = [p.name for p in procs if p.exitcode not in (0, None)]
-        if dead and received < len(pending):
-            failures.setdefault(-1, f"worker(s) died: {dead}")
+        for proc, shard in readers.values():
+            for index, _spec in shard:
+                if index not in received:
+                    failures[index] = (f"worker {proc.name} exited with code "
+                                       f"{proc.exitcode} before finishing "
+                                       f"this point")
         if failures:
             raise SweepError(failures)
 

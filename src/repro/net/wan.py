@@ -40,13 +40,6 @@ class WanCloud:
         self._partitioned: set[tuple[str, str]] = set()
         self.frames_partitioned = 0
         self._watchers: list = []
-        # PDES boundary: sites that exist in this topology but are owned
-        # by another partition's process. Frames addressed to them are
-        # captured into the outbox instead of scheduled locally; the pdes
-        # runtime drains the outbox at every window barrier.
-        self._remote_sites: dict[str, int] = {}
-        self._outbox: list[tuple] = []
-        self._out_seq = 0
 
     def add_watcher(self, fn) -> None:
         """Subscribe ``fn(cloud)`` to partition/heal changes (fluid-plane
@@ -118,87 +111,6 @@ class WanCloud:
     def partitioned(self, a: str, b: str) -> bool:
         return (a, b) in self._partitioned
 
-    # -- pdes boundary --------------------------------------------------
-    def declare_remote_site(self, site: str, partition: int) -> None:
-        """Declare that ``site`` is attached to this cloud in another
-        partition's process. Frames toward it are captured into the
-        outbox (timestamped, in send order) instead of scheduled on the
-        local calendar."""
-        if site in self.ports:
-            raise ValueError(f"site {site!r} is attached locally")
-        self._remote_sites[site] = partition
-
-    def is_remote(self, site: str) -> bool:
-        """True when ``site`` is a declared other-partition attachment."""
-        return site in self._remote_sites
-
-    def remote_partitions(self) -> list[int]:
-        """Partition ids that own at least one declared remote site."""
-        return sorted(set(self._remote_sites.values()))
-
-    def min_remote_latency(self) -> float:
-        """Minimum one-way latency from any local site to any remote
-        site — the conservative PDES lookahead for this partition."""
-        best = float("inf")
-        for local in self.ports:
-            for remote in self._remote_sites:
-                lat = self.latency(local, remote)
-                if lat < best:
-                    best = lat
-        return best if best != float("inf") else self.default_latency
-
-    def drain_outbox(self) -> list[tuple]:
-        """Return and clear the captured cross-partition frame records.
-
-        Each record is ``(partition, deliver_time, send_time, src_site,
-        seq, dst_site, frame)``; ``dst_site is None`` marks a flood
-        record the receiving partition expands over its own ports.
-        """
-        out, self._outbox = self._outbox, []
-        return out
-
-    def _capture(self, src: str, dst: str | None, frame: EthernetFrame,
-                 partition: int | None = None) -> None:
-        if dst is not None:
-            if self._partitioned and (src, dst) in self._partitioned:
-                self.frames_partitioned += 1
-                return
-            deliver = self.sim.now + self.latency(src, dst)
-            if partition is None:
-                partition = self._remote_sites[dst]
-        else:
-            deliver = None  # flood: receiver computes per-site latency
-        self._out_seq += 1
-        self._outbox.append(
-            (partition, deliver, self.sim.now, src, self._out_seq, dst, frame)
-        )
-
-    def inject_remote_frame(self, src_site: str, dst_site: str,
-                            deliver_time: float, frame: EthernetFrame) -> None:
-        """Deliver a frame captured at another partition's boundary.
-
-        Learns the source MAC exactly as serial ingress would (no local
-        host can have addressed this MAC before the frame arrives, so
-        learning at the barrier preserves unicast/flood decisions) and
-        schedules the delivery; ``frames_carried`` is *not* incremented —
-        the sending partition already counted this frame.
-        """
-        if self._partitioned and (src_site, dst_site) in self._partitioned:
-            self.frames_partitioned += 1
-            return
-        self.mac_table[frame.src] = src_site
-        port = self.ports.get(dst_site)
-        if port is None:
-            return
-        self.sim.call_at(deliver_time, _CloudDelivery(port, frame))
-
-    def expand_flood(self, src_site: str, send_time: float):
-        """Destinations of a remote flood record, in attachment order:
-        yields ``(dst_site, deliver_time)`` for every local port."""
-        for site in list(self.ports):
-            if site != src_site:
-                yield site, send_time + self.latency(src_site, site)
-
     # -- datapath -------------------------------------------------------------
     def on_frame(self, frame: EthernetFrame, in_port: Port) -> None:
         src_site = self._port_names.get(in_port)
@@ -209,23 +121,12 @@ class WanCloud:
         if not frame.dst.is_broadcast:
             dst_site = self.mac_table.get(frame.dst)
             if dst_site is not None:
-                if dst_site in self._remote_sites:
-                    self._capture(src_site, dst_site, frame)
-                else:
-                    self._deliver(src_site, dst_site, frame)
+                self._deliver(src_site, dst_site, frame)
                 return
         # Broadcast / unknown destination: flood (ARP resolution path).
         for site in list(self.ports):
             if site != src_site:
                 self._deliver(src_site, site, frame)
-        if self._remote_sites:
-            # One flood record per remote partition; each receiver
-            # expands it over its own attachment points.
-            seen: set[int] = set()
-            for pid in self._remote_sites.values():
-                if pid not in seen:
-                    seen.add(pid)
-                    self._capture(src_site, None, frame, pid)
 
     def _deliver(self, src: str, dst: str, frame: EthernetFrame) -> None:
         if self._partitioned and (src, dst) in self._partitioned:

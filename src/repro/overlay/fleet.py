@@ -33,10 +33,11 @@ class HashRing:
     """The consistent-hash ring itself, built from server *names* only.
 
     This is the static, driver-side view of the fleet assignment: it
-    needs no live server objects, so endpoint code (and PDES partitions
-    that own no rendezvous server) can compute the same primary/backup
-    ordering the fleet would. :class:`RendezvousFleet` builds its ring
-    through this class, so the two can never disagree on hashing.
+    needs no live server objects, so endpoint code and storm lanes can
+    compute the same primary/backup ordering the fleet would, before
+    any server is up or after one has crashed. :class:`RendezvousFleet`
+    builds its ring through this class, so the two can never disagree
+    on hashing.
     """
 
     def __init__(self, names: list[str], vnodes: int = VNODES) -> None:

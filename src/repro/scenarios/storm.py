@@ -68,8 +68,9 @@ class StormLane:
         self.keepalive_sweeps = 0
         self.keepalives_acked = 0
         # Server assignment is the fleet's static consistent hash,
-        # computed through the env's ring so it needs no live server
-        # objects (the lane works inside a control-less PDES partition).
+        # computed once through the env's ring: the lane keeps the same
+        # endpoint -> server grouping for every batch and keepalive
+        # sweep, whichever servers are up at the time.
         self._groups: dict[int, list[int]] = {}
         for k, name in enumerate(self.names):
             self._groups.setdefault(env.assign_rendezvous(name), []).append(k)

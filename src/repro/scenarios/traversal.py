@@ -1,4 +1,4 @@
-"""NAT-traversal matrix and path-migration scenarios (DESIGN.md §16).
+"""NAT-traversal matrix and path-migration scenarios (DESIGN.md §15).
 
 Three registered scenarios back ``tests/test_traversal.py`` and
 ``benchmarks/bench_traversal.py``:

@@ -54,9 +54,7 @@ class WavnetEnvironment:
                  replication_factor: Optional[int] = None,
                  hot_zone_limit: Optional[int] = None,
                  expiry_interval: Optional[float] = None,
-                 retry_concurrency: Optional[int] = None,
-                 build_control: bool = True,
-                 control_partition: int = 0) -> None:
+                 retry_concurrency: Optional[int] = None) -> None:
         self.sim = sim
         self.cloud = WanCloud(sim, default_latency=default_latency)
         self.spec = spec or ResourceSpec()
@@ -67,26 +65,13 @@ class WavnetEnvironment:
         self.retry_concurrency = retry_concurrency
         self._next_vip = 1
         self._next_pub = 1
-        # Driver-side view of the fleet assignment: pure name hashing,
-        # identical with or without live server objects.
+        # Driver-side view of the fleet assignment: pure name hashing.
         self.ring = HashRing([f"rvz{i}" for i in range(n_rendezvous)])
         # Single source of truth for every registered endpoint; the
         # rendezvous servers all own slices of it (fleet sharding).
         self.table = HostTable(sim, spec=self.spec)
         self.table.materializer = self._materialize_host
         self.table.dematerializer = self._dematerialize_host
-        if not build_control:
-            # PDES: the control plane (STUN pair + rendezvous servers +
-            # the authoritative table mutations) lives in another
-            # partition's process; here those sites are boundary
-            # declarations and their addresses are derived, not built.
-            self.stun = None
-            self.fleet = None
-            for site in ("stun.primary", "stun.alt"):
-                self.cloud.declare_remote_site(site, control_partition)
-            for i in range(n_rendezvous):
-                self.cloud.declare_remote_site(f"rvz{i}", control_partition)
-            return
         self.stun = StunServerPair(sim, self.cloud)
         for i in range(n_rendezvous):
             rhost = make_public_host(sim, self.cloud, f"rvz{i}", f"9.1.0.{i + 1}",
@@ -116,35 +101,18 @@ class WavnetEnvironment:
         self._next_vip += 1
         return vip
 
-    # -- fleet addressing (works with or without server objects) -------
+    # -- fleet addressing ----------------------------------------------
     def rendezvous_addr(self, index: int) -> IPv4Address:
-        """IP of rendezvous server ``index``; derived from the fixed
-        addressing plan, so control-less PDES partitions agree with the
-        partition that actually built the server."""
+        """IP of rendezvous server ``index``."""
         if not 0 <= index < self.n_rendezvous:
             raise IndexError(f"rendezvous index {index} out of range")
-        if self.rendezvous:
-            return self.rendezvous[index].ip
-        return IPv4Address(f"9.1.0.{index + 1}")
-
-    @property
-    def stun_primary_ip(self) -> IPv4Address:
-        return self.stun.primary_ip if self.stun else IPv4Address("9.9.9.1")
+        return self.rendezvous[index].ip
 
     def assign_rendezvous(self, name: str) -> int:
         """Fleet consistent-hash assignment for an endpoint name (static
         ring — identical to ``fleet.assign_index`` while all servers are
-        up, and available without server objects)."""
+        up)."""
         return self.ring.index(name)
-
-    # -- pdes boundary -------------------------------------------------
-    def declare_remote_host(self, name: str, partition: int) -> None:
-        """Mark an endpoint whose object stack lives in another PDES
-        partition: its cloud site becomes a boundary declaration. The
-        endpoint's table row should still be declared locally (via
-        :meth:`add_endpoint`) so address allocation stays in lock-step
-        across partitions."""
-        self.cloud.declare_remote_site(name, partition)
 
     def add_host(
         self,
@@ -282,7 +250,7 @@ class WavnetEnvironment:
             virtual_ip=IPv4Address(int(self.table.virtual_ip[host_id])),
             virtual_network=self.virtual_network,
             rendezvous_ip=rendezvous_ip,
-            stun_server_ip=self.stun_primary_ip,
+            stun_server_ip=self.stun.primary_ip,
             attrs=cfg["attrs"],
             name=name,
             pulse_interval=cfg["pulse_interval"],
@@ -291,13 +259,6 @@ class WavnetEnvironment:
         wav_host = WavnetHost(host=host, driver=driver, site=site)
         self.hosts[wav_host.name] = wav_host
         return wav_host
-
-    def build_declared(self, name: str) -> WavnetHost:
-        """Construct (without starting) the full stack for an endpoint
-        previously declared via :meth:`add_endpoint` — the PDES path:
-        every partition declares every endpoint (lock-step address
-        allocation), then builds only the ones it owns."""
-        return self._build_host(name)
 
     # -- lazy materialization ------------------------------------------
     def materialize(self, name: str) -> WavnetHost:

@@ -657,25 +657,3 @@ class Simulator:
                 self.now = entry[0]
                 self.events_dispatched += 1
                 item._run_callbacks()
-
-    def run_window(self, end: float) -> None:
-        """Dispatch every live entry with time strictly below ``end``,
-        then set ``now = end`` — the half-open window [now, end) used by
-        conservative PDES synchronization.
-
-        Unlike :meth:`run`, entries at exactly ``end`` are *not*
-        dispatched: they belong to the next window (or to the final
-        inclusive ``run(until=horizon)`` pass), so a partitioned run
-        windows its way to the horizon without double- or
-        never-dispatching boundary events.
-        """
-        end = float(end)
-        if end < self.now:
-            raise SimulationError(f"run_window({end}) is in the past (now={self.now})")
-        inf = float("inf")
-        while True:
-            t = self.peek()
-            if t == inf or t >= end:
-                break
-            self.step()
-        self.now = end

@@ -307,40 +307,3 @@ def test_migration_under_nat_reboot_run_twice_identical():
     payload = json.loads(r1["payload"])
     assert payload["healed_by_migration"] is True
     assert payload["repunches"] == 0
-
-
-def _pdes_envelope(name, params, metrics=(), traces=(), seed=5):
-    from repro.exp.spec import ExperimentSpec, envelope_bytes
-    from repro.sim.pdes import run_partitioned
-
-    spec = ExperimentSpec(name, params=params, seed=seed,
-                          metrics=metrics, traces=traces)
-    return envelope_bytes(run_partitioned(spec))
-
-
-def test_pdes_mesh_partitioned_run_twice_identical():
-    """The partitioned executor itself must replay exactly: window
-    barriers, cross-partition frame injection order, and the shard merge
-    are all deterministic across back-to-back runs."""
-    params = {"partitions": 2, "n_sites": 2, "duration": 2.0,
-              "horizon": 26.0}
-    assert _pdes_envelope("pdes_mesh", params) == \
-        _pdes_envelope("pdes_mesh", params)
-
-
-def test_pdes_churn_partitioned_run_twice_identical():
-    """Fault-schedule churn split across partitions replays exactly,
-    including the cross-partition fault trace."""
-    params = {"partitions": 2}
-    metrics = ("faults.injected.*",)
-    traces = ("fault*",)
-    assert _pdes_envelope("pdes_churn", params, metrics, traces) == \
-        _pdes_envelope("pdes_churn", params, metrics, traces)
-
-
-def test_pdes_fluid_mix_partitioned_run_twice_identical():
-    """Mixed fluid+packet traffic with per-partition solvers replays
-    exactly."""
-    params = {"partitions": 2}
-    assert _pdes_envelope("pdes_fluid_mix", params, seed=3) == \
-        _pdes_envelope("pdes_fluid_mix", params, seed=3)

@@ -2,6 +2,12 @@
 sharded runner's determinism, and resume-from-cache."""
 
 import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -193,6 +199,60 @@ class TestShardedDeterminism:
         for a, b in zip(serial, sharded):
             assert a.envelope_bytes() == b.envelope_bytes(), \
                 f"seed {a.coords['seed']} diverged between serial and sharded"
+
+
+_DEAD_WORKER_SWEEP = textwrap.dedent("""
+    import json, os, sys, time
+    from repro.exp import Sweep, SweepError, SweepRunner, registry
+
+    def flaky(seed=0, k=0):
+        if k == 1:
+            os._exit(3)  # worker 1 dies on its first point
+        if k == 0:
+            time.sleep(1.5)  # worker 0 is still busy when worker 1 dies
+        return {"k": k, "blob": "x" * 200_000}  # > one pipe buffer
+
+    registry.register("dead_worker_probe", flaky)
+    done = []
+    sweep = Sweep("dead-worker", "dead_worker_probe").add_axis("k", list(range(8)))
+    try:
+        SweepRunner(sweep, workers=2, out_dir=sys.argv[1],
+                    progress=lambda r: done.append(r.index)).run()
+    except SweepError as exc:
+        print(json.dumps({"failed": sorted(exc.failures), "done": sorted(done),
+                          "message": str(exc)}))
+""")
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the probe scenario is registered in the parent "
+                           "and reaches workers only through fork")
+def test_dead_worker_fails_its_points_and_keeps_survivors(tmp_path):
+    """A worker that dies mid-shard must not hang the sweep: the runner
+    keeps reading the surviving shard (four ~200 KB envelopes, more than
+    a pipe buffer holds) and reports the dead shard's unfinished points.
+    The sweep runs in a subprocess so a hang fails on the timeout."""
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-c", _DEAD_WORKER_SWEEP,
+                             str(tmp_path)], env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)  # the sweep and its workers
+        proc.communicate()
+        pytest.fail("sweep with a dead worker did not return within 60 s")
+    assert proc.returncode == 0, err
+    report = json.loads(out)
+    assert report["failed"] == [1, 3, 5, 7]
+    assert report["done"] == [0, 2, 4, 6]
+    assert "exited with code 3" in report["message"]
+    assert len(list(tmp_path.glob("p*.json"))) == 4
 
 
 class TestAggregate:

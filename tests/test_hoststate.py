@@ -9,10 +9,12 @@ import pytest
 
 from repro.core.hoststate import (FLAG_MATERIALIZED, FLAG_REGISTERED,
                                   HostTable)
+from repro.exp.spec import ExperimentSpec, run_spec
 from repro.faults import FaultInjector
 from repro.nat.types import NatType
 from repro.net.addresses import IPv4Address
 from repro.net.wan import WanCloud
+from repro.overlay.fleet import HashRing
 from repro.overlay.rendezvous import _RegisterBatch, _TokenBucket
 from repro.overlay.resources import ConnectionInfo
 from repro.overlay.rpc import RpcEndpoint, RpcTimeout
@@ -181,6 +183,57 @@ def test_fleet_consistent_assignment_and_failover():
     assert set(loads) == {s.host.name for s in env.rendezvous}
 
 
+class TestHashRing:
+    def test_stable_across_instances(self):
+        names = [f"rvz{i}" for i in range(4)]
+        a, b = HashRing(names), HashRing(names)
+        for endpoint in ("alice", "bob", "s3h7", "host-17"):
+            assert a.index(endpoint) == b.index(endpoint)
+
+    def test_order_is_a_permutation_starting_at_primary(self):
+        ring = HashRing([f"rvz{i}" for i in range(4)])
+        for endpoint in ("alice", "bob", "s3h7"):
+            order = ring.order(endpoint)
+            assert sorted(order) == [0, 1, 2, 3]
+            assert order[0] == ring.index(endpoint)
+
+    def test_endpoints_spread_over_all_servers(self):
+        ring = HashRing([f"rvz{i}" for i in range(4)])
+        counts = [0] * 4
+        for j in range(256):
+            counts[ring.index(f"h{j}")] += 1
+        assert all(c > 0 for c in counts)
+
+    def test_empty_ring_rejected(self):
+        with pytest.raises(ValueError):
+            HashRing([])
+
+
+class TestFleetAssignment:
+    def test_default_endpoint_is_fleet_assigned(self):
+        sim = Simulator(seed=2)
+        env = WavnetEnvironment(sim, n_rendezvous=3)
+        host_id = env.add_endpoint("endpoint-a")
+        cfg = env.table.site_config(host_id)
+        assert cfg["fleet_assigned"] is True
+        assert cfg["rendezvous_index"] == env.ring.index("endpoint-a")
+        assert env.assign_rendezvous("endpoint-a") == env.ring.index("endpoint-a")
+
+    def test_explicit_index_overrides_fleet(self):
+        sim = Simulator(seed=2)
+        env = WavnetEnvironment(sim, n_rendezvous=3)
+        host_id = env.add_endpoint("endpoint-b", rendezvous_index=1)
+        cfg = env.table.site_config(host_id)
+        assert cfg["fleet_assigned"] is False
+        assert cfg["rendezvous_index"] == 1
+
+    def test_static_ring_agrees_with_live_fleet(self):
+        sim = Simulator(seed=2)
+        env = WavnetEnvironment(sim, n_rendezvous=3)
+        for endpoint in ("a", "b", "c", "host-17", "s2h9"):
+            assert env.ring.index(endpoint) == env.fleet.ring.index(endpoint)
+
+
 # -- retry coalescing --------------------------------------------------
 
 def test_retry_coalescing_caps_probes_per_destination():
@@ -284,3 +337,18 @@ def test_registration_storm_scenario_smoke():
     assert payload["bytes_per_endpoint"] < 2048
     assert len(payload["punch_latency_s"]) == 1
     assert sum(payload["fleet_load_final"].values()) == 402
+
+
+class TestKeepaliveSweeps:
+    def test_storm_lane_sweeps_batch_keepalives(self):
+        spec = ExperimentSpec(
+            "registration_storm",
+            params={"n_endpoints": 60, "n_rendezvous": 2, "n_regions": 2,
+                    "batch": 16, "punch_pairs": 1, "settle": 30.0,
+                    "keepalive_interval": 5.0},
+            seed=7)
+        payload = run_spec(spec)["payload"]
+        assert payload["keepalive_sweeps"] > 0
+        assert payload["keepalives_acked"] > 0
+        # Sweeps are batched: far fewer RPCs than endpoint-keepalives.
+        assert payload["keepalive_sweeps"] < payload["keepalives_acked"]

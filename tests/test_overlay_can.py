@@ -9,6 +9,8 @@ from repro.overlay.can import CanNode
 from repro.overlay.resources import ConnectionInfo, ResourceRecord
 from repro.overlay.rpc import RpcEndpoint, RpcError, RpcTimeout
 from repro.scenarios.builder import make_public_host
+from repro.scenarios.storm import StormLane
+from repro.scenarios.wavnet_env import WavnetEnvironment
 from repro.sim import Simulator
 
 
@@ -292,3 +294,32 @@ class TestCanOverlay:
         p = sim.process(runner(sim))
         sim.run(until=p)
         assert "far" in {r.host_name for r in p.value}
+
+
+class TestCanRemerge:
+    def test_zones_remerge_when_load_drains(self):
+        sim = Simulator(seed=13)
+        env = WavnetEnvironment(sim, n_rendezvous=2, replication_factor=1,
+                                hot_zone_limit=4)
+        env.up()
+        lane = StormLane(sim, env, region=0, count=48, base_index=0)
+        sim.run_coro(lane.register(batch_size=16))
+
+        def can_stats(name):
+            return sum(int(sim.metrics.value(f"{s.can.node_id}.can.{name}"))
+                       for s in env.rendezvous)
+
+        zones_before = sum(len(s.can.zones) for s in env.rendezvous)
+        assert can_stats("splits") >= 1
+        assert zones_before > len(env.rendezvous)
+
+        # Drain: drop every stored handle, then let the ping loops run a
+        # few maintenance rounds.
+        for s in env.rendezvous:
+            s.can.handles.clear()
+            s.can.handle_replicas.clear()
+        sim.run(until=sim.now + 80.0)
+
+        zones_after = sum(len(s.can.zones) for s in env.rendezvous)
+        assert can_stats("remerges") >= 1
+        assert zones_after < zones_before
